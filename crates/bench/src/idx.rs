@@ -66,18 +66,11 @@ const SCAN_REPS: usize = 5;
 /// in place and only exact-size slots reusable.
 const GC_EVERY_BATCHES: usize = 256;
 
-/// Runs `f` as one transaction, retrying once after a full GC when the
-/// heap fills — CoW index maintenance sheds dead tree paths that only a
-/// collection reclaims.
+/// Runs `f` as one transaction under the heap's `HeapFull` policy — CoW
+/// index maintenance sheds dead tree paths that only a collection
+/// reclaims.
 fn txn_retry<R>(handle: &HeapHandle, f: impl Fn(&mut HeapTxn<'_>) -> Result<R, PjhError>) -> R {
-    match handle.txn(&f) {
-        Ok(r) => r,
-        Err(PjhError::HeapFull { .. }) => {
-            handle.with_mut(|h| h.gc_full(&[])).expect("bench gc");
-            handle.txn(&f).expect("bench txn after gc")
-        }
-        Err(e) => panic!("bench txn: {e}"),
-    }
+    handle.txn_retry(f).expect("bench txn")
 }
 
 /// The scrambled insertion order: an odd-prime stride is a bijection on

@@ -313,9 +313,11 @@ impl Drop for WriteSession<'_> {
         // replica or a later one, never a half-written section... of the
         // *metadata*; device contents are always live. Runs on unwind
         // too, so a panicking transaction still publishes its (aborted,
-        // rolled-back) state. Skipped entirely when the section touched
-        // no reader-visible metadata — the common store/alloc path stays
-        // clone-free.
+        // rolled-back) state. Skipped when `meta_gen` did not move: plain
+        // stores and instance allocation stay clone-free, but array and
+        // string allocation do not — `alloc_arr`/`alloc_bytes` go through
+        // `register_prim_array`, which bumps `meta_gen` on every call, so
+        // every such section republishes a full clone.
         let guard = self.guard.take().expect("dropped once");
         let gen = guard.meta_gen;
         let mut replica = self.inner.replica.lock();
@@ -456,6 +458,48 @@ impl HeapHandle {
     /// Propagates `f`'s error after aborting.
     pub fn txn<T>(&self, f: impl FnOnce(&mut HeapTxn<'_>) -> crate::Result<T>) -> crate::Result<T> {
         self.write().txn(f)
+    }
+
+    /// The heap's one [`PjhError::HeapFull`] policy, `with_mut`-shaped:
+    /// runs `f` with exclusive write access; if it fails with `HeapFull`,
+    /// runs a full collection ([`Pjh::gc_full`]) and `f` once more, and
+    /// propagates whatever that second run returns. Any other error
+    /// passes through without collecting. `f` must be re-runnable: what a
+    /// failed first run allocated is garbage the collection reclaims.
+    ///
+    /// The collection is a full one because an incremental cycle under
+    /// `HeapFull` harvests slots but opens no region, so the failure
+    /// recurs; and it passes no extra roots, so callers must hold no
+    /// unrooted references across the call.
+    ///
+    /// # Errors
+    ///
+    /// `f`'s error (a second `HeapFull` included); collection errors.
+    pub fn with_mut_retry<T>(
+        &self,
+        mut f: impl FnMut(&mut Pjh) -> crate::Result<T>,
+    ) -> crate::Result<T> {
+        match self.with_mut(&mut f) {
+            Err(PjhError::HeapFull { .. }) => {
+                self.with_mut(|h| h.gc_full(&[]))?;
+                self.with_mut(&mut f)
+            }
+            other => other,
+        }
+    }
+
+    /// [`txn`](Self::txn) under the [`with_mut_retry`](Self::with_mut_retry)
+    /// policy: the transaction that hit `HeapFull` was aborted (rolled
+    /// back) before the collection runs, then `f` runs in a fresh one.
+    ///
+    /// # Errors
+    ///
+    /// As [`with_mut_retry`](Self::with_mut_retry).
+    pub fn txn_retry<T>(
+        &self,
+        mut f: impl FnMut(&mut HeapTxn<'_>) -> crate::Result<T>,
+    ) -> crate::Result<T> {
+        self.with_mut_retry(|h| h.txn(&mut f))
     }
 
     /// The explicit commit point: **seals an epoch**. Every cache line

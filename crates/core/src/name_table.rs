@@ -10,6 +10,7 @@ use std::collections::HashMap;
 
 use espresso_nvm::NvmDevice;
 
+use crate::bitmap::Bitmap;
 use crate::layout::{Layout, MAX_NAME_LEN, NAME_ENTRY_SIZE};
 use crate::PjhError;
 
@@ -48,10 +49,14 @@ impl EntryKind {
 #[derive(Debug, Clone)]
 pub struct NameTable {
     off: usize,
-    cap: usize,
     /// (kind, name) → slot index.
     index: HashMap<(EntryKind, String), usize>,
     used: usize,
+    /// Slots whose tag word is not a valid kind: `set` takes the lowest
+    /// one instead of scanning `cap` tag words on the device. A slot with
+    /// a valid tag but a torn payload is not indexed and not free. (A
+    /// bitmap, not a list: every replica publication clones this table.)
+    free: Bitmap,
 }
 
 impl NameTable {
@@ -61,9 +66,11 @@ impl NameTable {
         let cap = layout.name_table_cap;
         let mut index = HashMap::new();
         let mut used = 0;
+        let mut free = Bitmap::new(cap);
         for slot in 0..cap {
             let e = off + slot * NAME_ENTRY_SIZE;
             let Some(kind) = EntryKind::from_tag(dev.read_u64(e)) else {
+                free.set(slot);
                 continue;
             };
             let len = dev.read_u64(e + 16) as usize;
@@ -80,9 +87,9 @@ impl NameTable {
         }
         NameTable {
             off,
-            cap,
             index,
             used,
+            free,
         }
     }
 
@@ -130,15 +137,8 @@ impl NameTable {
             dev.persist(e + 8, 8);
             return Ok(());
         }
-        // Find a free slot.
-        let mut free = None;
-        for slot in 0..self.cap {
-            if EntryKind::from_tag(dev.read_u64(self.entry_off(slot))).is_none() {
-                free = Some(slot);
-                break;
-            }
-        }
-        let slot = free.ok_or(PjhError::NameTableFull)?;
+        let slot = self.free.next_set(0).ok_or(PjhError::NameTableFull)?;
+        self.free.clear(slot);
         let e = self.entry_off(slot);
         // Payload first...
         dev.write_u64(e + 8, value);
@@ -162,6 +162,7 @@ impl NameTable {
         dev.write_u64(e, 0);
         dev.persist(e, 8);
         self.used -= 1;
+        self.free.set(slot);
         true
     }
 

@@ -32,7 +32,7 @@
 //! # }
 //! ```
 
-use espresso_object::{FieldDesc, KlassId, PClass, PObject, PRef, Ref};
+use espresso_object::{fnv1a, FieldDesc, KlassId, PClass, PObject, PRef, Ref, FNV1A_OFFSET};
 
 use crate::heap::{HeapCensus, LoadOptions};
 use crate::manager::{
@@ -153,12 +153,7 @@ impl ShardedKlass {
 /// FNV-1a hash of a routing key (stable across processes and restarts, so
 /// a key always finds the shard that allocated it).
 pub fn hash_key(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV1A_OFFSET, key.as_bytes())
 }
 
 /// N PJH instances behind one key-routed façade: see the module-level
@@ -560,6 +555,9 @@ mod tests {
             assert_eq!(sh.field(r, 0), i);
         }
         assert!(used.iter().all(|&u| u), "64 keys should hit all 4 shards");
+        // Routing is part of the on-disk format: a key must keep finding
+        // the shard that allocated it, across builds.
+        assert_eq!(hash_key("c0k00042"), 0xacd8_d468_6419_55eb);
         assert_eq!(sh.census().objects, 64);
     }
 

@@ -75,6 +75,7 @@ use std::collections::HashMap;
 
 use espresso_object::{
     ArrFld, Fld, KlassId, PArr, PClass, PObject, PRef, PValue, Ref, RefFld, Schema, StrFld,
+    ARRAY_HEADER_WORDS, WORD,
 };
 
 use crate::heap::Pjh;
@@ -220,18 +221,22 @@ impl Pjh {
         Ok(PArr::from_raw_unchecked(self.alloc_array(kid, len)?))
     }
 
-    /// Allocates and fully persists a length-prefixed string: word 0 is
-    /// the byte length, the following words are the UTF-8 bytes. This is
-    /// the representation behind `str`-typed fields ([`StrFld`]).
+    /// Allocates and fully persists a byte array: a `u64` array whose
+    /// word 0 is the byte length and whose following words pack the bytes
+    /// 8-per-word little-endian, flushed once. The array is fresh and
+    /// unreachable, so it needs no undo logging however large it is —
+    /// fill it outside a transaction and let the transaction link it.
+    /// This is the one owner of the format: `str`-typed fields
+    /// ([`StrFld`]), server values and workload values all store it.
     ///
     /// # Errors
     ///
     /// Allocation errors.
-    pub fn alloc_string(&mut self, s: &str) -> crate::Result<Ref> {
+    pub fn alloc_bytes(&mut self, bytes: &[u8]) -> crate::Result<Ref> {
         let kid = self.register_prim_array();
-        let arr = self.alloc_array(kid, 1 + s.len().div_ceil(8))?;
-        self.array_set(arr, 0, s.len() as u64);
-        for (i, chunk) in s.as_bytes().chunks(8).enumerate() {
+        let arr = self.alloc_array(kid, 1 + bytes.len().div_ceil(8))?;
+        self.array_set(arr, 0, bytes.len() as u64);
+        for (i, chunk) in bytes.chunks(8).enumerate() {
             let mut w = [0u8; 8];
             w[..chunk.len()].copy_from_slice(chunk);
             self.array_set(arr, 1 + i, u64::from_le_bytes(w));
@@ -240,19 +245,45 @@ impl Pjh {
         Ok(arr)
     }
 
-    /// Reads back a string stored by [`alloc_string`](Self::alloc_string).
+    /// Reads back the bytes stored by [`alloc_bytes`](Self::alloc_bytes)
+    /// with one bulk device read (the device is little-endian, so the
+    /// packed words are the bytes in order).
     ///
     /// # Panics
     ///
-    /// Panics on null or non-array references.
-    pub fn read_string(&self, arr: Ref) -> String {
+    /// Panics on null or non-array references, and when the stored length
+    /// exceeds the array.
+    pub fn read_bytes(&self, arr: Ref) -> Vec<u8> {
         let len = self.array_get(arr, 0) as usize;
-        let mut bytes = Vec::with_capacity(len.next_multiple_of(8));
-        for i in 0..len.div_ceil(8) {
-            bytes.extend_from_slice(&self.array_get(arr, 1 + i).to_le_bytes());
-        }
-        bytes.truncate(len);
-        String::from_utf8_lossy(&bytes).into_owned()
+        assert!(
+            len.div_ceil(8) < self.array_len(arr),
+            "byte length {len} exceeds its array at {arr:?}"
+        );
+        let mut bytes = vec![0u8; len];
+        self.dev.read_bytes(
+            self.obj_off(arr) + (ARRAY_HEADER_WORDS + 1) * WORD,
+            &mut bytes,
+        );
+        bytes
+    }
+
+    /// [`alloc_bytes`](Self::alloc_bytes) of the string's UTF-8 bytes.
+    ///
+    /// # Errors
+    ///
+    /// Allocation errors.
+    pub fn alloc_string(&mut self, s: &str) -> crate::Result<Ref> {
+        self.alloc_bytes(s.as_bytes())
+    }
+
+    /// Reads back a string stored by [`alloc_string`](Self::alloc_string)
+    /// (lossy on non-UTF-8 payloads).
+    ///
+    /// # Panics
+    ///
+    /// As [`read_bytes`](Self::read_bytes).
+    pub fn read_string(&self, arr: Ref) -> String {
+        String::from_utf8_lossy(&self.read_bytes(arr)).into_owned()
     }
 
     // ---- typed reads (available on `&Pjh`, i.e. in read sessions) ----

@@ -14,8 +14,9 @@ use crate::Key;
 /// `remove_object`) bundle the field write and all affected index
 /// maintenance into **one** transaction, so an abort or crash rolls back
 /// both together and no path can observe an object whose indexed field
-/// disagrees with the index. On [`PjhError::HeapFull`] the transaction is
-/// retried once after a full collection.
+/// disagrees with the index. They run under the heap's one
+/// [`PjhError::HeapFull`] policy ([`HeapHandle::txn_retry`]): one full
+/// collection, one retry.
 ///
 /// Objects mutated through raw [`espresso_core::Pjh`] APIs bypass index
 /// maintenance; mix the two styles only for non-indexed fields.
@@ -108,21 +109,6 @@ impl<T: PObject + 'static> IndexedHeap<T> {
         Ok(())
     }
 
-    /// Runs `f` in a transaction, retrying once after a full collection
-    /// on [`PjhError::HeapFull`].
-    fn txn_retry<R>(
-        &self,
-        f: impl Fn(&mut HeapTxn<'_>) -> espresso_core::Result<R>,
-    ) -> espresso_core::Result<R> {
-        match self.handle.txn(&f) {
-            Err(PjhError::HeapFull { .. }) => {
-                self.handle.with_mut(|h| h.gc_full(&[]))?;
-                self.handle.txn(&f)
-            }
-            r => r,
-        }
-    }
-
     /// Allocates a `T`, runs `setup` to populate it, then inserts it into
     /// every maintained index — all in one transaction. Integer fields
     /// `setup` leaves untouched are indexed at their default value `0`;
@@ -139,7 +125,7 @@ impl<T: PObject + 'static> IndexedHeap<T> {
         &self,
         setup: impl Fn(&mut HeapTxn<'_>, PRef<T>) -> espresso_core::Result<()>,
     ) -> espresso_core::Result<PRef<T>> {
-        self.txn_retry(|t| {
+        self.handle.txn_retry(|t| {
             let obj = t.alloc::<T>()?;
             setup(t, obj)?;
             for idx in &self.indexes {
@@ -158,7 +144,7 @@ impl<T: PObject + 'static> IndexedHeap<T> {
     ///
     /// Index-maintenance allocation errors.
     pub fn remove_object(&self, obj: PRef<T>) -> espresso_core::Result<()> {
-        self.txn_retry(|t| {
+        self.handle.txn_retry(|t| {
             for idx in &self.indexes {
                 if let Some(k) = idx.key_of(t.heap(), obj) {
                     idx.remove(t, &k, obj)?;
@@ -175,7 +161,7 @@ impl<T: PObject + 'static> IndexedHeap<T> {
         new_key: &Key,
         apply: impl Fn(&mut HeapTxn<'_>) -> espresso_core::Result<()>,
     ) -> espresso_core::Result<()> {
-        self.txn_retry(|t| {
+        self.handle.txn_retry(|t| {
             for idx in self.indexes.iter().filter(|i| i.field_index == field_index) {
                 if let Some(old) = idx.key_of(t.heap(), obj) {
                     idx.remove(t, &old, obj)?;

@@ -48,3 +48,20 @@ pub const WORD: usize = 8;
 
 /// Minimum object footprint in words (a field-less instance).
 pub const MIN_OBJECT_WORDS: usize = HEADER_WORDS;
+
+/// FNV-1a 64 offset basis: the state [`fnv1a`] starts from.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into FNV-1a 64 state `h` (start from [`FNV1A_OFFSET`]).
+/// The one stable hash of the stack: schema fingerprints are persisted,
+/// shard routing must send a key to the shard that allocated it, and the
+/// workload digest is compared across backends — so the output is part
+/// of the on-disk format and must never change.
+pub const fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        h = (h ^ bytes[i] as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        i += 1;
+    }
+    h
+}

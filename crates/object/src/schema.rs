@@ -53,7 +53,7 @@ use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use crate::{FieldDesc, FieldKind, KlassId, Ref};
+use crate::{fnv1a, FieldDesc, FieldKind, KlassId, Ref, FNV1A_OFFSET};
 
 /// The declared type of one schema field.
 ///
@@ -207,44 +207,23 @@ impl Schema {
     /// schema-evolution error the typed layer turns into a real
     /// `SchemaMismatch` instead of silent reinterpretation.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write(self.name.as_bytes());
+        // Each part ends with a 0xFF separator so ("ab","c") and
+        // ("a","bc") digest differently.
+        let write = |h: u64, bytes: &[u8]| fnv1a(fnv1a(h, bytes), &[0xFF]);
+        let mut h = write(FNV1A_OFFSET, self.name.as_bytes());
         for f in &self.fields {
-            h.write(f.name.as_bytes());
-            h.write(&f.ty.fingerprint_tag().to_le_bytes());
+            h = write(h, f.name.as_bytes());
+            h = write(h, &f.ty.fingerprint_tag().to_le_bytes());
             match &f.ty {
                 FieldType::Ref { target } | FieldType::RefArray { target } => {
-                    h.write(target.as_bytes());
+                    h = write(h, target.as_bytes());
                 }
                 _ => {}
             }
         }
         // Fingerprints are persisted in name-table value slots where 0
         // means "absent"; keep the digest non-zero.
-        h.finish().max(1)
-    }
-}
-
-/// FNV-1a, the same cheap stable hash the shard router uses.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        // Separator so ("ab","c") and ("a","bc") digest differently.
-        self.0 ^= 0xFF;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+        h.max(1)
     }
 }
 

@@ -14,7 +14,7 @@
 //!   `GroupCommitter` batches every connection's pending commit request
 //!   into **one epoch seal** — the first writer to arrive becomes the
 //!   leader, seals the epoch (capturing every already-applied mutation),
-//!   and polls the [`CommitTicket`] while followers park; when the epoch
+//!   and polls the `CommitTicket` while followers park; when the epoch
 //!   turns durable, all of them are answered at once. This is the same
 //!   leader-drain idiom as minidb's WAL group commit, lifted across
 //!   connections.
@@ -57,8 +57,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use espresso_core::{
-    CommitState, CommitTicket, HeapHandle, HeapManager, HeapTxn, LoadOptions, PjhConfig, PjhError,
-    ShardedHeap,
+    CommitState, HeapHandle, HeapManager, HeapTxn, LoadOptions, PjhConfig, PjhError, ShardedHeap,
 };
 use espresso_index::{Index, Key};
 use espresso_object::{ArrFld, PArr, PObject, PRef, Schema, StrFld};
@@ -188,7 +187,7 @@ struct GcState {
     waiting: usize,
     /// Recent drain outcomes by generation; cohort members resolve their
     /// reply from the first drain at or past their generation.
-    results: VecDeque<(u64, DrainOutcome)>,
+    results: VecDeque<(u64, CommitOutcome)>,
     /// Drains performed (stats: epoch seals issued by this committer).
     drains: u64,
     /// Writers acknowledged across all drains (stats: `acked / drains`
@@ -196,27 +195,17 @@ struct GcState {
     acked: u64,
 }
 
-/// How one leader drain ended — inherited by every cohort member.
+/// How a durability wait ended: a leader's drain produces one, and every
+/// member of its cohort inherits it.
 #[derive(Clone)]
-enum DrainOutcome {
-    /// The sealed epoch is durable: the whole cohort is acked `OK`.
+enum CommitOutcome {
+    /// The sealed epoch covering the write is durable in the image file.
     Durable,
     /// The seal landed but durability missed the deadline (paused or
-    /// lagging pipeline): the cohort answers `BUSY`; the epoch may still
-    /// become durable later.
+    /// lagging pipeline): answered `BUSY`; the mutation is applied and
+    /// the epoch may still become durable later.
     TimedOut,
-    /// The seal or flush failed.
-    Failed(String),
-}
-
-/// How a write's durability wait ended.
-enum CommitOutcome {
-    /// The epoch covering the write is durable in the image file.
-    Durable,
-    /// Not durable within the deadline (pipeline lagging or paused); the
-    /// mutation is applied and may become durable later.
-    TimedOut,
-    /// The apply failed or was aborted.
+    /// The seal or flush failed, or was aborted.
     Failed(String),
 }
 
@@ -260,20 +249,15 @@ impl GroupCommitter {
                 // Covered: the drain that completed a generation ≥ mine
                 // sealed after my mutation was applied; inherit its
                 // outcome.
-                let drained = st
+                let outcome = st
                     .results
                     .iter()
                     .find(|(g, _)| *g >= my_gen)
-                    .map(|(_, outcome)| outcome.clone())
-                    .unwrap_or(DrainOutcome::TimedOut);
-                break match drained {
-                    DrainOutcome::Durable => {
-                        st.acked += 1;
-                        CommitOutcome::Durable
-                    }
-                    DrainOutcome::TimedOut => CommitOutcome::TimedOut,
-                    DrainOutcome::Failed(reason) => CommitOutcome::Failed(reason),
-                };
+                    .map_or(CommitOutcome::TimedOut, |(_, outcome)| outcome.clone());
+                if matches!(outcome, CommitOutcome::Durable) {
+                    st.acked += 1;
+                }
+                break outcome;
             }
             if !st.leader_active {
                 // Become the leader: close the generation (later writers
@@ -288,12 +272,7 @@ impl GroupCommitter {
                 st.leader_active = false;
                 st.completed_gen = lead_gen;
                 st.drains += 1;
-                let drained = match &result {
-                    CommitOutcome::Durable => DrainOutcome::Durable,
-                    CommitOutcome::TimedOut => DrainOutcome::TimedOut,
-                    CommitOutcome::Failed(reason) => DrainOutcome::Failed(reason.clone()),
-                };
-                st.results.push_back((lead_gen, drained));
+                st.results.push_back((lead_gen, result));
                 while st.results.len() > 32 {
                     st.results.pop_front();
                 }
@@ -316,17 +295,21 @@ impl GroupCommitter {
     }
 }
 
-/// Seals one epoch on `handle` and polls the ticket until durable,
-/// failed, or the deadline passes. Polling (not `wait()`) keeps the
-/// barrier non-consuming *and* bounded: a paused pipeline turns into a
-/// timeout, never a hung connection.
+/// Seals one epoch on `handle` and waits for it, bounded by `deadline`.
 fn seal_and_wait(handle: &HeapHandle, deadline: Instant) -> CommitOutcome {
-    let ticket: CommitTicket = match handle.commit() {
-        Ok(t) => t,
-        Err(e) => return CommitOutcome::Failed(e.to_string()),
-    };
+    match handle.commit() {
+        Ok(ticket) => poll_durable(|| ticket.state(), deadline),
+        Err(e) => CommitOutcome::Failed(e.to_string()),
+    }
+}
+
+/// Polls a commit barrier's state until durable, failed, or the deadline
+/// passes. Polling (not `wait()`) keeps the barrier non-consuming *and*
+/// bounded: a paused pipeline turns into a timeout, never a hung
+/// connection or a hung shutdown.
+fn poll_durable(state: impl Fn() -> CommitState, deadline: Instant) -> CommitOutcome {
     loop {
-        match ticket.state() {
+        match state() {
             CommitState::Durable => return CommitOutcome::Durable,
             CommitState::Failed(reason) => return CommitOutcome::Failed(reason),
             CommitState::InFlight => {
@@ -587,20 +570,13 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
     // timeout — shutdown must not hang on a wedged shard.
     if let Ok(ticket) = inner.heap.commit() {
         let deadline = Instant::now() + inner.config.commit_timeout;
-        loop {
-            match ticket.state() {
-                CommitState::Durable => break,
-                CommitState::Failed(reason) => {
-                    eprintln!("espresso-server: final commit failed: {reason}");
-                    break;
-                }
-                CommitState::InFlight => {
-                    if Instant::now() >= deadline {
-                        eprintln!("espresso-server: final commit still in flight at shutdown");
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                }
+        match poll_durable(|| ticket.state(), deadline) {
+            CommitOutcome::Durable => {}
+            CommitOutcome::Failed(reason) => {
+                eprintln!("espresso-server: final commit failed: {reason}");
+            }
+            CommitOutcome::TimedOut => {
+                eprintln!("espresso-server: final commit still in flight at shutdown");
             }
         }
     }
@@ -662,11 +638,15 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> (Response, bool) {
         }
         Request::Set { key, value } => {
             c.sets.fetch_add(1, Ordering::Relaxed);
-            write_op(inner, &key, |inner| op_set(inner, &key, &value))
+            ack_applied(inner, apply_ops(inner, &[TxnOp::Set { key, value }]))
         }
         Request::Del { key } => {
             c.dels.fetch_add(1, Ordering::Relaxed);
-            op_del(inner, &key)
+            match apply_ops(inner, &[TxnOp::Del { key }]) {
+                // Nothing was mutated, so there is no commit to wait on.
+                Ok((_, existed)) if !existed[0] => Response::status(Status::NotFound),
+                applied => ack_applied(inner, applied),
+            }
         }
         Request::FGet { key, index } => {
             c.fgets.fetch_add(1, Ordering::Relaxed);
@@ -674,17 +654,14 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> (Response, bool) {
         }
         Request::FSet { key, index, value } => {
             c.fsets.fetch_add(1, Ordering::Relaxed);
-            if usize::from(index) >= NUM_FIELDS {
-                Response::err(format!(
-                    "field index {index} out of range (0..{NUM_FIELDS})"
-                ))
-            } else {
-                write_op(inner, &key, |inner| op_fset(inner, &key, index, value))
-            }
+            ack_applied(
+                inner,
+                apply_ops(inner, &[TxnOp::FSet { key, index, value }]),
+            )
         }
         Request::Txn { ops } => {
             c.txns.fetch_add(1, Ordering::Relaxed);
-            op_txn(inner, &ops)
+            ack_applied(inner, apply_ops(inner, &ops))
         }
         Request::Scan {
             shard,
@@ -717,62 +694,20 @@ fn handle_request(inner: &Arc<Inner>, req: Request) -> (Response, bool) {
     (resp, false)
 }
 
-// ---- value <-> word-array packing ----
-
-/// Words needed for `len` value bytes: one length word plus packed bytes.
-fn value_words(len: usize) -> usize {
-    1 + len.div_ceil(8)
-}
-
-fn pack_word(chunk: &[u8]) -> u64 {
-    let mut w = [0u8; 8];
-    w[..chunk.len()].copy_from_slice(chunk);
-    u64::from_le_bytes(w)
-}
-
 // ---- operations ----
 
-/// Admission control + group-commit acknowledgement around a write: the
-/// closure applies the mutation; the reply is sent only once a sealed
-/// epoch covering it is durable.
-fn write_op(
-    inner: &Arc<Inner>,
-    key: &str,
-    apply: impl FnOnce(&Arc<Inner>) -> Result<Response, PjhError>,
-) -> Response {
-    let shard = inner.heap.shard_of(key);
-    if let Some(busy) = admission_check(inner, shard) {
-        return busy;
-    }
-    let resp = match apply(inner) {
-        Ok(resp) => resp,
-        Err(e) => return Response::err(e.to_string()),
+/// Replies to a write: whatever refused it, or — once applied — `OK`
+/// after joining the shard's group commit, so the reply is sent only
+/// when a sealed epoch covering the mutation is durable.
+fn ack_applied(inner: &Arc<Inner>, applied: Result<(usize, Vec<bool>), Response>) -> Response {
+    let shard = match applied {
+        Ok((shard, _)) => shard,
+        Err(refusal) => return refusal,
     };
-    if resp.status != Status::Ok {
-        return resp; // e.g. NotFound: nothing was mutated, nothing to wait on
-    }
-    ack_durable(inner, shard, resp)
-}
-
-/// `BUSY` when the shard's flush pipeline or durability queue is past the
-/// bound — checked before the mutation so refused writes are never
-/// applied.
-fn admission_check(inner: &Arc<Inner>, shard: usize) -> Option<Response> {
-    let bound = inner.config.max_pending;
-    if inner.heap.handle(shard).pending_commits() > bound
-        || inner.committers[shard].waiting() >= bound
-    {
-        return Some(Response::status(Status::Busy));
-    }
-    None
-}
-
-/// Joins the shard's group commit and maps the outcome to a reply.
-fn ack_durable(inner: &Arc<Inner>, shard: usize, ok: Response) -> Response {
     match inner.committers[shard]
         .commit_durable(inner.heap.handle(shard), inner.config.commit_timeout)
     {
-        CommitOutcome::Durable => ok,
+        CommitOutcome::Durable => Response::status(Status::Ok),
         CommitOutcome::TimedOut => Response::status(Status::Busy),
         CommitOutcome::Failed(reason) => Response::err(format!("commit failed: {reason}")),
     }
@@ -791,14 +726,7 @@ fn op_get(inner: &Arc<Inner>, key: &str) -> Response {
         // Entry exists (e.g. created by FSET) but holds no value.
         return Response::status(Status::NotFound);
     };
-    let len = session.arr_get(data, 0) as usize;
-    let mut value = Vec::with_capacity(len);
-    for i in 0..len.div_ceil(8) {
-        let word = session.arr_get(data, 1 + i).to_le_bytes();
-        let take = (len - i * 8).min(8);
-        value.extend_from_slice(&word[..take]);
-    }
-    Response::ok(value)
+    Response::ok(session.read_bytes(data.raw()))
 }
 
 fn op_fget(inner: &Arc<Inner>, key: &str, index: u8) -> Response {
@@ -820,21 +748,6 @@ fn op_fget(inner: &Arc<Inner>, key: &str, index: u8) -> Response {
     };
     let v = session.arr_get(fields, usize::from(index));
     Response::ok(v.to_be_bytes().to_vec())
-}
-
-/// Allocates and fills a value array **outside** any transaction, with
-/// raw persisted stores (the `alloc_string` idiom). The array is fresh
-/// and unreachable, so it needs no undo logging — crucial because the
-/// undo log is bounded and a 1 MiB value spans ~128 K words. Word 0 is
-/// the byte length; the rest pack the bytes 8-per-word, little-endian.
-fn alloc_value_arr(h: &mut espresso_core::Pjh, value: &[u8]) -> Result<PArr, PjhError> {
-    let arr = h.alloc_arr(value_words(value.len()))?;
-    h.array_set(arr.raw(), 0, value.len() as u64);
-    for (i, chunk) in value.chunks(8).enumerate() {
-        h.array_set(arr.raw(), 1 + i, pack_word(chunk));
-    }
-    h.flush_object(arr.raw());
-    Ok(arr)
 }
 
 /// Allocates one fresh [`KvEntry`] for `key` inside `t`: fields array,
@@ -861,89 +774,6 @@ fn create_entry(
     t.heap().flush(entry);
     idx.insert(t, &Key::Str(key.to_string()), entry)?;
     Ok(entry)
-}
-
-fn op_set(inner: &Arc<Inner>, key: &str, value: &[u8]) -> Result<Response, PjhError> {
-    let shard = inner.heap.shard_of(key);
-    let handle = inner.heap.handle(shard);
-    let idx = &inner.indexes[shard];
-    with_gc_retry(handle, |h| {
-        let arr = alloc_value_arr(h, value)?;
-        let (entry, fresh) = {
-            let data_fld = inner.data_fld;
-            // The transaction itself only allocates the entry (if new,
-            // with its index insert) and relinks `data` — a few logged
-            // stores, however large the value.
-            h.txn(|t| {
-                let (entry, fresh) = match t.root::<KvEntry>(key)? {
-                    Some(entry) => (entry, false),
-                    None => (create_entry(inner, t, idx, key)?, true),
-                };
-                t.set_arr(entry, data_fld, Some(arr))?;
-                Ok((entry, fresh))
-            })?
-        };
-        if fresh {
-            // Publish after the transaction commits: a crash in between
-            // leaves an unreachable (garbage) entry, never a torn one.
-            // Still inside this write session, so no commit epoch can
-            // seal between the transaction and the publication.
-            h.set_root_typed(key, entry)?;
-        }
-        Ok(Response::status(Status::Ok))
-    })
-}
-
-fn op_fset(inner: &Arc<Inner>, key: &str, index: u8, value: u64) -> Result<Response, PjhError> {
-    let shard = inner.heap.shard_of(key);
-    let handle = inner.heap.handle(shard);
-    let idx = &inner.indexes[shard];
-    with_gc_retry(handle, |h| {
-        let fields_fld = inner.fields_fld;
-        let (entry, fresh) = h.txn(|t| {
-            let (entry, fresh) = match t.root::<KvEntry>(key)? {
-                Some(entry) => (entry, false),
-                None => (create_entry(inner, t, idx, key)?, true),
-            };
-            let fields = t
-                .get_arr(entry, fields_fld)
-                .expect("entries always carry a fields array");
-            t.arr_set(fields, usize::from(index), value);
-            Ok((entry, fresh))
-        })?;
-        if fresh {
-            h.set_root_typed(key, entry)?;
-        }
-        Ok(Response::status(Status::Ok))
-    })
-}
-
-fn op_del(inner: &Arc<Inner>, key: &str) -> Response {
-    let shard = inner.heap.shard_of(key);
-    if let Some(busy) = admission_check(inner, shard) {
-        return busy;
-    }
-    let idx = &inner.indexes[shard];
-    // The index entry is removed in a transaction, then the root is
-    // unpublished — both inside one write session, so no commit epoch
-    // can seal between them. Root-table updates are not undo-logged, so
-    // a crash exactly between the two leaves the key readable but
-    // unscannable until deleted again; it can never leave the index
-    // pointing at reclaimed storage (index references keep entries
-    // live).
-    let removed = with_gc_retry(inner.heap.handle(shard), |h| {
-        let Some(entry) = h.root::<KvEntry>(key)? else {
-            return Ok(false);
-        };
-        h.txn(|t| idx.remove(t, &Key::Str(key.to_string()), entry).map(|_| ()))?;
-        h.remove_root(key);
-        Ok(true)
-    });
-    match removed {
-        Ok(false) => Response::status(Status::NotFound),
-        Ok(true) => ack_durable(inner, shard, Response::status(Status::Ok)),
-        Err(e) => Response::err(e.to_string()),
-    }
 }
 
 fn op_scan(inner: &Arc<Inner>, shard: u16, start: &str, end: &str, limit: u32) -> Response {
@@ -985,16 +815,14 @@ fn op_scan(inner: &Arc<Inner>, shard: u16, start: &str, end: &str, limit: u32) -
         let Some(data) = session.get_arr(entry, inner.data_fld) else {
             continue;
         };
-        let len = session.arr_get(data, 0) as usize;
-        if items.len() >= limit as usize || bytes + key.len() + len > MAX_SCAN_BYTES {
+        if items.len() >= limit as usize {
             truncated = true;
             break;
         }
-        let mut value = Vec::with_capacity(len);
-        for i in 0..len.div_ceil(8) {
-            let word = session.arr_get(data, 1 + i).to_le_bytes();
-            let take = (len - i * 8).min(8);
-            value.extend_from_slice(&word[..take]);
+        let value = session.read_bytes(data.raw());
+        if bytes + key.len() + value.len() > MAX_SCAN_BYTES {
+            truncated = true;
+            break;
         }
         bytes += key.len() + value.len();
         items.push((key, value));
@@ -1002,107 +830,116 @@ fn op_scan(inner: &Arc<Inner>, shard: u16, start: &str, end: &str, limit: u32) -
     Response::ok(protocol::encode_scan_items(truncated, &items))
 }
 
-fn op_txn(inner: &Arc<Inner>, ops: &[TxnOp]) -> Response {
-    if ops.is_empty() {
-        return Response::err("empty transaction");
-    }
-    let shard = inner.heap.shard_of(ops[0].key());
+/// The one write path: `SET`, `FSET` and `DEL` are one-op calls of what
+/// `TXN` runs. Routes to the shard, validates, checks admission, then
+/// applies `ops` atomically. `Ok` carries the shard to acknowledge on and,
+/// per op, whether its key had an entry before the op ran; `Err` is the
+/// reply for a write that was refused and not applied.
+fn apply_ops(inner: &Arc<Inner>, ops: &[TxnOp]) -> Result<(usize, Vec<bool>), Response> {
+    let Some(first) = ops.first() else {
+        return Err(Response::err("empty transaction"));
+    };
+    let shard = inner.heap.shard_of(first.key());
     for op in &ops[1..] {
         let s = inner.heap.shard_of(op.key());
         if s != shard {
-            return Response::err(format!(
+            return Err(Response::err(format!(
                 "cross-shard transaction: key {:?} routes to shard {s}, {:?} to shard {shard} \
                  (shards are independent atomicity domains)",
                 op.key(),
-                ops[0].key()
-            ));
+                first.key()
+            )));
         }
     }
     for op in ops {
         if let TxnOp::FSet { index, .. } = op {
             if usize::from(*index) >= NUM_FIELDS {
-                return Response::err(format!(
+                return Err(Response::err(format!(
                     "field index {index} out of range (0..{NUM_FIELDS})"
-                ));
+                )));
             }
         }
     }
-    if let Some(busy) = admission_check(inner, shard) {
-        return busy;
+    // Checked before the mutation so refused writes are never applied.
+    let bound = inner.config.max_pending;
+    if inner.heap.handle(shard).pending_commits() > bound
+        || inner.committers[shard].waiting() >= bound
+    {
+        return Err(Response::status(Status::Busy));
     }
-    let handle = inner.heap.handle(shard);
     let data_fld = inner.data_fld;
     let fields_fld = inner.fields_fld;
     let idx = &inner.indexes[shard];
-    let applied = with_gc_retry(handle, |h| {
+    // On `HeapFull` the core policy collects the shard (reclaiming dead
+    // entries and replaced values) and re-runs the whole section.
+    let applied = inner.heap.handle(shard).with_mut_retry(|h| {
         // All object mutations run inside one undo-logged transaction;
         // the net root change per key is staged and applied right after
         // it commits, still under this write session — so no epoch can
         // seal a state where the transaction landed but the roots did
-        // not, and an abort leaves the root table untouched. Staging is
-        // *per key, in op order* (a map, not publish/unpublish lists):
-        // `Del k` then `Set k` must leave a fresh entry published, and
-        // `Set k` then `Del k` must leave the key gone.
-        let mut staged: HashMap<String, Option<PRef<KvEntry>>> = HashMap::new();
+        // not, and an abort leaves the root table untouched. Root-table
+        // updates are not undo-logged, so a crash exactly between the two
+        // can leave a deleted key readable but unscannable until deleted
+        // again, or a fresh entry as unreachable garbage; it can never
+        // leave the index pointing at reclaimed storage (index references
+        // keep entries live). Staging is *per key, in op order* (a map,
+        // not publish/unpublish lists): `Del k` then `Set k` must leave a
+        // fresh entry published, and `Set k` then `Del k` must leave the
+        // key gone.
+        let mut staged: HashMap<&str, Option<PRef<KvEntry>>> = HashMap::new();
+        let mut existed = Vec::with_capacity(ops.len());
         // Value arrays are filled unlogged before the transaction (fresh
-        // objects need no undo records — see `alloc_value_arr`); the
+        // objects need no undo records — see `Pjh::alloc_bytes`); the
         // transaction links them, so its log cost is a few words per op
         // regardless of value sizes.
         let mut value_arrs: Vec<PArr> = Vec::new();
         for op in ops {
             if let TxnOp::Set { value, .. } = op {
-                value_arrs.push(alloc_value_arr(h, value)?);
+                value_arrs.push(PArr::from_raw_unchecked(h.alloc_bytes(value)?));
             }
         }
         h.txn(|t| {
-            staged.clear();
             let mut next_arr = value_arrs.iter();
-            // The entry an upsert op targets: the staged view of the key
-            // if an earlier op touched it (`None` = staged-deleted, so a
-            // fresh entry is required), else the published root. Fresh
-            // entries are index-inserted on creation; `Del` removes the
-            // current entry (staged or published) from the index — so
-            // the index mutations mirror the ops in order and the log
-            // cost stays at most three records per op.
-            let resolve = |t: &mut HeapTxn<'_>,
-                           staged: &mut HashMap<String, Option<PRef<KvEntry>>>,
-                           key: &String|
-             -> Result<PRef<KvEntry>, PjhError> {
+            for op in ops {
+                let key = op.key();
+                // The key's current entry: the staged view if an earlier
+                // op touched it (`None` = staged-deleted), else the
+                // published root.
                 let current = match staged.get(key) {
                     Some(view) => *view,
                     None => t.root::<KvEntry>(key)?,
                 };
-                if let Some(entry) = current {
-                    return Ok(entry);
-                }
-                let entry = create_entry(inner, t, idx, key)?;
-                staged.insert(key.clone(), Some(entry));
-                Ok(entry)
-            };
-            for op in ops {
+                existed.push(current.is_some());
+                // Fresh entries are index-inserted on creation and `Del`
+                // removes the current entry from the index — so the index
+                // mutations mirror the ops in order and the log cost
+                // stays at most three records per op.
+                let entry = match (op, current) {
+                    (TxnOp::Del { .. }, Some(entry)) => {
+                        idx.remove(t, &Key::Str(key.to_string()), entry)?;
+                        staged.insert(key, None);
+                        continue;
+                    }
+                    (TxnOp::Del { .. }, None) => continue,
+                    (_, Some(entry)) => entry,
+                    (_, None) => {
+                        let entry = create_entry(inner, t, idx, key)?;
+                        staged.insert(key, Some(entry));
+                        entry
+                    }
+                };
                 match op {
-                    TxnOp::Set { key, .. } => {
-                        let entry = resolve(t, &mut staged, key)?;
+                    TxnOp::Set { .. } => {
                         let arr = *next_arr.next().expect("one array per Set op");
                         t.set_arr(entry, data_fld, Some(arr))?;
                     }
-                    TxnOp::Del { key } => {
-                        let current = match staged.get(key) {
-                            Some(view) => *view,
-                            None => t.root::<KvEntry>(key)?,
-                        };
-                        if let Some(entry) = current {
-                            idx.remove(t, &Key::Str(key.clone()), entry)?;
-                        }
-                        staged.insert(key.clone(), None);
-                    }
-                    TxnOp::FSet { key, index, value } => {
-                        let entry = resolve(t, &mut staged, key)?;
+                    TxnOp::FSet { index, value, .. } => {
                         let fields = t
                             .get_arr(entry, fields_fld)
                             .expect("entries always carry a fields array");
                         t.arr_set(fields, usize::from(*index), *value);
                     }
+                    TxnOp::Del { .. } => unreachable!("handled above"),
                 }
             }
             Ok(())
@@ -1115,36 +952,11 @@ fn op_txn(inner: &Arc<Inner>, ops: &[TxnOp]) -> Response {
                 }
             }
         }
-        Ok(Response::status(Status::Ok))
+        Ok(existed)
     });
     match applied {
-        Ok(resp) if resp.status == Status::Ok => ack_durable(inner, shard, resp),
-        Ok(resp) => resp,
-        Err(e) => Response::err(e.to_string()),
-    }
-}
-
-/// Runs a write section; on [`PjhError::HeapFull`] collects the shard
-/// (reclaiming dead entries and replaced values) and retries. The auto
-/// collector goes first — its incremental cycle also refills the
-/// allocator's free lists — and only if the shard is still full does a
-/// stop-the-world full compaction run.
-fn with_gc_retry<T>(
-    handle: &HeapHandle,
-    mut f: impl FnMut(&mut espresso_core::Pjh) -> Result<T, PjhError>,
-) -> Result<T, PjhError> {
-    match handle.with_mut(&mut f) {
-        Err(PjhError::HeapFull { .. }) => {
-            handle.with_mut(|h| h.gc(&[]).map(|_| ()))?;
-            match handle.with_mut(&mut f) {
-                Err(PjhError::HeapFull { .. }) => {
-                    handle.with_mut(|h| h.gc_full(&[]).map(|_| ()))?;
-                    handle.with_mut(&mut f)
-                }
-                other => other,
-            }
-        }
-        other => other,
+        Ok(existed) => Ok((shard, existed)),
+        Err(e) => Err(Response::err(e.to_string())),
     }
 }
 

@@ -406,3 +406,72 @@ fn loadgen_scan_mix_reports_scan_latencies() {
     c.shutdown().unwrap();
     handle.wait();
 }
+
+/// `SET`, `FSET` and `DEL` are one-op calls of the `TXN` path: the single
+/// verb on one key and the equivalent one-op `TXN` on another leave the
+/// same GET/FGET/SCAN-visible state. The one wire difference is a lone
+/// `DEL` of a missing key, which answers `NOT_FOUND` without joining a
+/// group commit.
+#[test]
+fn single_verbs_match_their_one_op_txns() {
+    let handle = start(small());
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    // Per key: (GET, FGET 2, whether any shard's SCAN lists it).
+    let visible = |c: &mut Client, key: &str| {
+        let scanned = (0..2).any(|shard| {
+            let page = c.scan(shard, key, "", 1).unwrap();
+            page.items.first().is_some_and(|(k, _)| k == key)
+        });
+        (c.get(key).unwrap(), c.fget(key, 2).unwrap(), scanned)
+    };
+    let set = |key: &str| TxnOp::Set {
+        key: key.to_string(),
+        value: b"espresso".to_vec(),
+    };
+    let fset = |key: &str| TxnOp::FSet {
+        key: key.to_string(),
+        index: 2,
+        value: 9,
+    };
+    let del = |key: &str| TxnOp::Del {
+        key: key.to_string(),
+    };
+
+    // FSET on a fresh key: a valueless entry, skipped by SCAN.
+    c.fset("verb-f", 2, 9).unwrap();
+    c.txn(vec![fset("txn-f")]).unwrap();
+    assert_eq!(visible(&mut c, "verb-f"), (None, Some(9), false));
+    assert_eq!(visible(&mut c, "txn-f"), visible(&mut c, "verb-f"));
+
+    // SET on a fresh key, then FSET on the existing entry.
+    c.set("verb", b"espresso").unwrap();
+    c.txn(vec![set("txn")]).unwrap();
+    let fresh = (Some(b"espresso".to_vec()), Some(0), true);
+    assert_eq!(visible(&mut c, "verb"), fresh);
+    assert_eq!(visible(&mut c, "txn"), fresh);
+    c.fset("verb", 2, 9).unwrap();
+    c.txn(vec![fset("txn")]).unwrap();
+    assert_eq!(visible(&mut c, "verb").1, Some(9));
+    assert_eq!(visible(&mut c, "txn"), visible(&mut c, "verb"));
+
+    // DEL of a live key.
+    assert!(c.del("verb").unwrap());
+    c.txn(vec![del("txn")]).unwrap();
+    assert_eq!(visible(&mut c, "verb"), (None, None, false));
+    assert_eq!(visible(&mut c, "txn"), (None, None, false));
+
+    // DEL of a missing key: NOT_FOUND, and no epoch was sealed for it;
+    // the same op inside a TXN keeps answering OK.
+    let drains = |c: &mut Client| {
+        let stats = c.stats().unwrap();
+        let line = stats.lines().find(|l| l.starts_with("group_drains="));
+        line.expect("group_drains in STATS").to_string()
+    };
+    let before = drains(&mut c);
+    assert!(!c.del("verb").unwrap());
+    assert_eq!(drains(&mut c), before);
+    c.txn(vec![del("txn")]).unwrap();
+
+    c.shutdown().unwrap();
+    handle.wait();
+}

@@ -25,6 +25,8 @@
 //!   most `limit` of them, **skipping valueless entries** — exactly the
 //!   server `SCAN` semantics, so one trace's scans converge everywhere.
 
+use espresso_object::{fnv1a, FNV1A_OFFSET};
+
 use crate::trace::TxnPart;
 use crate::{WorkloadError, NUM_FIELDS};
 
@@ -170,14 +172,8 @@ pub trait Backend {
     fn crash_recover(&mut self) -> Result<(), WorkloadError>;
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 fn feed(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
+    *h = fnv1a(*h, bytes);
 }
 
 /// Hashes the backend's full observable state: for every key in index
@@ -190,7 +186,7 @@ fn feed(h: &mut u64, bytes: &[u8]) {
 ///
 /// Propagates backend read errors.
 pub fn state_digest(backend: &mut dyn Backend, key_space: u32) -> Result<u64, WorkloadError> {
-    let mut h = FNV_OFFSET;
+    let mut h = FNV1A_OFFSET;
     for key in 0..key_space {
         // Field 0 probes entry existence: `fget` answers for any live
         // entry, even one that never saw a `set`.
@@ -240,7 +236,7 @@ impl ScanDigest {
     /// An empty accumulator (no scans observed yet).
     pub fn new() -> ScanDigest {
         ScanDigest {
-            h: FNV_OFFSET,
+            h: FNV1A_OFFSET,
             scans: 0,
         }
     }
@@ -274,7 +270,7 @@ impl ScanDigest {
         if self.scans == 0 {
             return state;
         }
-        let mut h = FNV_OFFSET;
+        let mut h = FNV1A_OFFSET;
         feed(&mut h, &state.to_be_bytes());
         feed(&mut h, &self.scans.to_be_bytes());
         feed(&mut h, &self.h.to_be_bytes());

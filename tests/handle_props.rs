@@ -267,3 +267,57 @@ proptest! {
         });
     }
 }
+
+/// The heap's one `HeapFull` policy (`with_mut_retry` / `txn_retry`): a
+/// section that succeeds runs once and collects nothing; one that hits
+/// `HeapFull` gets exactly one full collection and one re-run; a second
+/// `HeapFull` propagates; any other error passes through uncollected.
+#[test]
+fn heap_full_policy_collects_once_and_retries_once() {
+    let mgr = HeapManager::temp().unwrap();
+    let handle = mgr.create("full", 1 << 20, PjhConfig::small()).unwrap();
+    let k = handle
+        .with_mut(|h| h.register_instance("Rec", rec_fields()))
+        .unwrap();
+    let full_gcs = || handle.heap_stats().gc_full_count;
+
+    // No HeapFull: one run, no collection.
+    let mut runs = 0;
+    handle
+        .txn_retry(|t| {
+            runs += 1;
+            t.alloc_instance(k)
+        })
+        .unwrap();
+    assert_eq!((runs, full_gcs()), (1, 0));
+
+    // Fill the heap with garbage; the allocation that no longer fits is
+    // re-run after one full collection and then succeeds.
+    handle.with_mut(|h| while h.alloc_instance(k).is_ok() {});
+    let mut runs = 0;
+    handle
+        .with_mut_retry(|h| {
+            runs += 1;
+            h.alloc_instance(k)
+        })
+        .unwrap();
+    assert_eq!((runs, full_gcs()), (2, 1));
+
+    // Still full after the collection: the second HeapFull propagates.
+    let mut runs = 0;
+    let out: Result<(), PjhError> = handle.with_mut_retry(|_| {
+        runs += 1;
+        Err(PjhError::HeapFull { requested_words: 4 })
+    });
+    assert!(matches!(out, Err(PjhError::HeapFull { .. })));
+    assert_eq!((runs, full_gcs()), (2, 2));
+
+    // Any other error: one run, no collection.
+    let mut runs = 0;
+    let out: Result<(), PjhError> = handle.txn_retry(|_| {
+        runs += 1;
+        Err(PjhError::NotAHeap)
+    });
+    assert!(matches!(out, Err(PjhError::NotAHeap)));
+    assert_eq!((runs, full_gcs()), (1, 2));
+}

@@ -342,4 +342,36 @@ fn fingerprints_are_pairwise_distinct_across_field_types() {
     let r2 = Schema::builder("Rand").ref_named("f0", "B").build();
     assert_ne!(r1.fingerprint(), r2.fingerprint());
     assert!(matches!(r1.field("f0"), Some((0, FieldType::Ref { .. }))));
+    // Fingerprints are persisted in heap images: the digest of a given
+    // declaration is part of the on-disk format and must never move.
+    let pinned = Schema::builder("PinAcct")
+        .u64_field("id")
+        .str_field("owner")
+        .ref_named("parent", "PinAcct")
+        .build();
+    assert_eq!(pinned.fingerprint(), 0x28ee_a867_f4d7_47f7);
+}
+
+/// The byte-array format (`alloc_bytes`/`read_bytes`) round-trips every
+/// length around the word boundaries, carries non-UTF-8 payloads, and is
+/// the representation `alloc_string`/`read_string` wrap.
+#[test]
+fn byte_arrays_roundtrip_every_length_and_back_strings() {
+    let mgr = HeapManager::temp().unwrap();
+    let handle = mgr.create("bytes", 4 << 20, PjhConfig::small()).unwrap();
+    let mut h = handle.write();
+    let mut payloads: Vec<Vec<u8>> = (0..=17usize)
+        .map(|len| (0..len).map(|i| (len * 16 + i) as u8).collect())
+        .collect();
+    payloads.push(vec![0xff, 0xfe, 0x00, 0x80, 0xc3, 0x28, 0xf0, 0x9f, 0x92]);
+    for payload in &payloads {
+        let arr = h.alloc_bytes(payload).unwrap();
+        assert_eq!(h.array_len(arr), 1 + payload.len().div_ceil(8));
+        assert_eq!(&h.read_bytes(arr), payload);
+    }
+    let s = "café ☕ espresso";
+    let arr = h.alloc_bytes(s.as_bytes()).unwrap();
+    assert_eq!(h.read_string(arr), s);
+    let arr = h.alloc_string(s).unwrap();
+    assert_eq!(h.read_bytes(arr), s.as_bytes());
 }
