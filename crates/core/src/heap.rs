@@ -21,6 +21,14 @@ use crate::{PjhConfig, PjhError};
 /// objects, and holes apart.
 pub(crate) const FILLER_FLAG: u64 = 1 << 63;
 
+/// Allocation-buffer (PLAB) size in bytes written into a fresh heap: the
+/// persisted allocation top advances a whole buffer at a time, so `pnew`
+/// amortizes its metadata persist over `PLAB_BYTES / object_size`
+/// allocations instead of flushing the cursor per object (§4.1
+/// batching). The buffer never crosses a region boundary. A loaded heap
+/// uses the size recorded in its image.
+const PLAB_BYTES: usize = 8 << 10;
+
 /// The memory-safety levels of §3.4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SafetyLevel {
@@ -368,7 +376,7 @@ impl Pjh {
     pub fn create(dev: NvmDevice, config: PjhConfig) -> crate::Result<Pjh> {
         let layout = Layout::compute(dev.size(), &config)?;
         layout.write_meta(&dev);
-        dev.write_u64(meta::PLAB_SIZE, config.plab_size as u64);
+        dev.write_u64(meta::PLAB_SIZE, PLAB_BYTES as u64);
         dev.persist(meta::PLAB_SIZE, 8);
         // All regions free except region 0, the initial allocation region.
         let mut free = Bitmap::new(layout.num_regions);
@@ -392,7 +400,7 @@ impl Pjh {
             alloc_region: 0,
             alloc_top: layout.data_off,
             plab_end: layout.data_off,
-            plab_size: config.plab_size,
+            plab_size: PLAB_BYTES,
             free,
             dirty: Bitmap::new(layout.num_regions),
             remsets: None,
@@ -1668,16 +1676,6 @@ impl Pjh {
         self.gc_full_count
     }
 
-    /// Enables or disables the v3 slot-reuse path (DRAM-only knob; the
-    /// persisted image is identical either way). The churn benchmark
-    /// turns it off to measure the bump-only baseline.
-    pub fn set_slot_reuse(&mut self, enabled: bool) {
-        self.reuse_enabled = enabled;
-        if !enabled {
-            self.free_lists.clear();
-        }
-    }
-
     /// Allocator and collector statistics. Cheap — no heap walk.
     pub fn heap_stats(&self) -> HeapStats {
         HeapStats {
@@ -2058,22 +2056,22 @@ mod tests {
         // may span past the buffer watermark. If power fails before the
         // region switch it precedes becomes durable, reload must not
         // resume allocating inside the filler span (the walker skips it).
+        // Regions larger than the allocation buffer, so the buffer
+        // watermark can sit below the region end.
         let dev = NvmDevice::new(NvmConfig::with_size(4 << 20));
-        let cfg = PjhConfig {
-            plab_size: 512,
-            ..PjhConfig::small()
-        };
-        let mut h = Pjh::create(dev.clone(), cfg).unwrap();
+        let mut h = Pjh::create(dev.clone(), PjhConfig::default()).unwrap();
         let pa = h.register_prim_array();
-        for _ in 0..30 {
+        for _ in 0..250 {
             h.alloc_array(pa, 2).unwrap(); // 40-byte objects drift the grid
         }
-        assert!(h.plab_end < h.layout.region_end(h.alloc_region));
+        let region_end = h.layout.region_end(h.alloc_region);
+        assert!(h.plab_end > h.layout.region_start(h.alloc_region) + PLAB_BYTES);
+        assert!(h.plab_end < region_end);
         let before = h.census().objects;
         // Oversized for the region remainder: writes + persists the filler,
         // then crashes before the new region becomes durable.
         dev.schedule_crash_after_line_flushes(1);
-        let _ = h.alloc_array(pa, 497);
+        let _ = h.alloc_array(pa, (region_end - h.alloc_top) / WORD);
         dev.recover();
         let (mut h2, _) = Pjh::load(dev, LoadOptions::default()).unwrap();
         assert_eq!(h2.census().objects, before);
@@ -2081,31 +2079,6 @@ mod tests {
         h2.set_root("fresh", p).unwrap();
         assert_eq!(h2.census().objects, before + 1, "new object visible");
         h2.verify_integrity().unwrap();
-    }
-
-    #[test]
-    fn zero_plab_restores_per_object_cursor_persist() {
-        let dev = NvmDevice::new(NvmConfig::with_size(4 << 20));
-        let cfg = PjhConfig {
-            plab_size: 0,
-            ..PjhConfig::small()
-        };
-        let mut h = Pjh::create(dev.clone(), cfg).unwrap();
-        let k = person(&mut h);
-        h.alloc_instance(k).unwrap();
-        let flushes = dev.stats().line_flushes;
-        h.alloc_instance(k).unwrap();
-        // Cursor flush + header flush.
-        assert_eq!(dev.stats().line_flushes - flushes, 2);
-        assert_eq!(h.plab_end, h.alloc_top);
-        // The strict mode survives reload: the buffer size is part of the
-        // persisted heap configuration.
-        dev.crash();
-        let (mut h2, _) = Pjh::load(dev.clone(), LoadOptions::default()).unwrap();
-        assert_eq!(h2.plab_size, 0);
-        let k2 = person(&mut h2);
-        h2.alloc_instance(k2).unwrap();
-        assert_eq!(h2.plab_end, h2.alloc_top, "no buffering after reload");
     }
 
     #[test]

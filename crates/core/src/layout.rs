@@ -24,6 +24,10 @@ use espresso_nvm::NvmDevice;
 
 use crate::{PjhConfig, PjhError};
 
+/// Klass segment size in bytes for a fresh heap (a whole number of cache
+/// lines). A loaded heap uses the size recorded in its image.
+const KLASS_SEGMENT_BYTES: usize = 256 << 10;
+
 /// Magic number identifying a formatted PJH image.
 pub const MAGIC: u64 = 0x4553_5052_4553_4f31; // "ESPRESO1"
 /// Format version. Bumped to 2 when the per-region summary table was
@@ -163,8 +167,7 @@ impl Layout {
         let region_size = config.region_size.next_power_of_two().max(4096);
         let name_table_cap = config.name_table_capacity.max(16);
         let name_bytes = name_table_cap * NAME_ENTRY_SIZE;
-        let klass_bytes = config.klass_segment_size.max(4096).next_multiple_of(64);
-        let fixed = meta::AREA_SIZE + name_bytes + klass_bytes;
+        let fixed = meta::AREA_SIZE + name_bytes + KLASS_SEGMENT_BYTES;
         if device_size <= fixed + 2 * region_size {
             return Err(PjhError::HeapTooSmall { size: device_size });
         }
@@ -185,7 +188,7 @@ impl Layout {
             {
                 let name_table_off = meta::AREA_SIZE;
                 let klass_segment_off = name_table_off + name_bytes;
-                let mark_begin_off = klass_segment_off + klass_bytes;
+                let mark_begin_off = klass_segment_off + KLASS_SEGMENT_BYTES;
                 let mark_end_off = mark_begin_off + bitmap_bytes;
                 let region_done_off = mark_end_off + bitmap_bytes;
                 let region_free_off = region_done_off + region_bitmap_bytes;
@@ -199,7 +202,7 @@ impl Layout {
                     name_table_off,
                     name_table_cap,
                     klass_segment_off,
-                    klass_segment_size: klass_bytes,
+                    klass_segment_size: KLASS_SEGMENT_BYTES,
                     mark_begin_off,
                     mark_end_off,
                     bitmap_bytes,

@@ -94,21 +94,12 @@ pub struct PjhConfig {
     pub region_size: usize,
     /// Name table capacity in entries.
     pub name_table_capacity: usize,
-    /// Klass segment size in bytes.
-    pub klass_segment_size: usize,
     /// Virtual base address the heap is created at (the address hint).
     pub base_address: u64,
     /// When `false`, the collector skips every flush/fence it issues for
     /// crash consistency — the §6.4 baseline ("remove all the clflush
     /// operations").
     pub recoverable_gc: bool,
-    /// Allocation-buffer (PLAB) size in bytes: the persisted allocation
-    /// top advances a whole buffer at a time, so `pnew` amortizes its
-    /// metadata persist over `plab_size / object_size` allocations instead
-    /// of flushing the cursor per object (§4.1 batching). The buffer never
-    /// crosses a region boundary; `0` restores the strict per-object
-    /// cursor persist.
-    pub plab_size: usize,
     /// Whether the v3 allocation path may serve allocations from the
     /// per-size-class free lists over dead object slots. DRAM-only policy
     /// (the persisted image is identical either way); `false` gives the
@@ -131,10 +122,8 @@ impl Default for PjhConfig {
         PjhConfig {
             region_size: 64 << 10,
             name_table_capacity: 256,
-            klass_segment_size: 256 << 10,
             base_address: 0x5000_0000_0000,
             recoverable_gc: true,
-            plab_size: 8 << 10,
             alloc_reuse: true,
         }
     }

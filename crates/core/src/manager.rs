@@ -51,9 +51,7 @@ use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Weak};
 
-use espresso_nvm::{
-    EpochClock, EpochPin, EpochState, FlushPipeline, LatencyModel, NvmConfig, NvmDevice,
-};
+use espresso_nvm::{EpochClock, EpochPin, FlushPipeline, LatencyModel, NvmConfig, NvmDevice};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 
 use crate::heap::{LoadOptions, LoadReport, Pjh};
@@ -76,26 +74,8 @@ pub struct CommitReport {
 }
 
 /// Where a sealed commit epoch stands, answered non-consumingly by
-/// [`CommitTicket::state`].
-///
-/// `is_durable()` alone cannot distinguish "still applying" from "the
-/// apply failed": a failed or aborted epoch would read as `false`
-/// forever, with the I/O error observable only by consuming
-/// [`CommitTicket::wait`]. `state()` closes that gap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CommitState {
-    /// Sealed, apply not yet completed (queued, paused, or running).
-    InFlight,
-    /// The epoch's content is durably in the image file — its own apply
-    /// landed, or a later apply covered its restored lines.
-    Durable,
-    /// The apply failed or was aborted and no later apply has covered it
-    /// yet; the payload is the same reason [`CommitTicket::wait`] would
-    /// return as an error. The lines were restored to the device, so a
-    /// fresh commit heals — after which the state becomes
-    /// [`Durable`](Self::Durable).
-    Failed(String),
-}
+/// [`CommitTicket::state`]: the flush pipeline's own epoch state.
+pub use espresso_nvm::EpochState as CommitState;
 
 /// A sealed-but-possibly-not-yet-durable commit epoch, returned by
 /// [`HeapHandle::commit`].
@@ -122,18 +102,6 @@ impl CommitTicket {
         self.epoch
     }
 
-    /// What the commit sealed: delta sizes known at seal time.
-    pub fn sealed_report(&self) -> CommitReport {
-        self.report
-    }
-
-    /// Whether the epoch has already reached the image file. `false`
-    /// covers both "still in flight" and "failed" — use
-    /// [`state`](Self::state) to tell them apart.
-    pub fn is_durable(&self) -> bool {
-        matches!(self.state(), CommitState::Durable)
-    }
-
     /// Where the sealed epoch stands right now, without consuming the
     /// ticket or blocking: in flight, durable, or failed (with the apply
     /// error's reason). Consistent with the pipeline's failure cascade —
@@ -144,11 +112,7 @@ impl CommitTicket {
     pub fn state(&self) -> CommitState {
         match &self.pipeline {
             None => CommitState::Durable,
-            Some(p) => match p.epoch_state(self.epoch) {
-                EpochState::Durable => CommitState::Durable,
-                EpochState::InFlight => CommitState::InFlight,
-                EpochState::Failed(reason) => CommitState::Failed(reason),
-            },
+            Some(p) => p.epoch_state(self.epoch),
         }
     }
 
@@ -179,7 +143,9 @@ impl CommitTicket {
 /// `path → pipeline`; `create` takes `live → pipelines`; `load` takes
 /// `pipelines` and `live` in *separate* scopes and never blocks on the
 /// pipeline while holding either (see its body); a closing
-/// `WriteSession` holds `heap.write` while briefly taking `replica`.
+/// `WriteSession` holds `heap.write` while briefly taking `replica`
+/// twice — to compare generations, then to swap — and never across the
+/// replica clone it builds between the two.
 /// Read sessions take only `replica` (no `RwLock` at all).
 struct HandleInner {
     name: String,
@@ -318,11 +284,17 @@ impl Drop for WriteSession<'_> {
         // string allocation do not — `alloc_arr`/`alloc_bytes` go through
         // `register_prim_array`, which bumps `meta_gen` on every call, so
         // every such section republishes a full clone.
+        //
+        // `replica` is taken only to compare and to swap, never across
+        // the clone, so read sessions opening meanwhile take the previous
+        // replica instead of waiting; the old one is freed outside the
+        // lock. Only writers publish, and they hold `heap.write`, so
+        // nothing publishes in between.
         let guard = self.guard.take().expect("dropped once");
         let gen = guard.meta_gen;
-        let mut replica = self.inner.replica.lock();
-        if replica.0 != gen {
-            *replica = (gen, Arc::new(guard.read_replica()));
+        if self.inner.replica.lock().0 != gen {
+            let fresh = Arc::new(guard.read_replica());
+            let _previous = std::mem::replace(&mut *self.inner.replica.lock(), (gen, fresh));
         }
     }
 }
@@ -1178,7 +1150,7 @@ mod tests {
         a.set_flush_paused(true);
         let ticket = a.commit().unwrap();
         assert_eq!(ticket.epoch(), 1);
-        assert!(!ticket.is_durable());
+        assert_ne!(ticket.state(), CommitState::Durable);
         assert_eq!(a.sealed_epoch(), 1);
         assert_eq!(a.durable_epoch(), 0);
         // Epoch 2 mutations proceed while epoch 1 is in flight — including
@@ -1271,7 +1243,6 @@ mod tests {
         // Queued behind a paused pipeline: in flight, and saying so does
         // not consume the ticket.
         assert_eq!(ticket.state(), CommitState::InFlight);
-        assert!(!ticket.is_durable());
         assert_eq!(ticket.state(), CommitState::InFlight);
         // Abort: the ticket turns observably Failed — before this, the
         // only way to see the failure was consuming `wait()`.
@@ -1280,7 +1251,7 @@ mod tests {
             CommitState::Failed(reason) => assert!(!reason.is_empty(), "reason is surfaced"),
             other => panic!("aborted epoch reads {other:?}, expected Failed"),
         }
-        assert!(!ticket.is_durable());
+        assert_ne!(ticket.state(), CommitState::Durable);
         // A healing commit re-captures the restored lines; once it lands,
         // the old epoch's content is durably in the image and the ticket
         // reads Durable — exactly the pipeline's failure-cascade rule.
@@ -1288,7 +1259,6 @@ mod tests {
         let healed = a.commit().unwrap();
         healed.wait().unwrap();
         assert_eq!(ticket.state(), CommitState::Durable);
-        assert!(ticket.is_durable());
     }
 
     #[test]

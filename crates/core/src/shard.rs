@@ -32,12 +32,10 @@
 //! # }
 //! ```
 
-use espresso_object::{fnv1a, FieldDesc, KlassId, PClass, PObject, PRef, Ref, FNV1A_OFFSET};
+use espresso_object::{fnv1a, FieldDesc, KlassId, PClass, PObject, Ref, FNV1A_OFFSET};
 
 use crate::heap::{HeapCensus, LoadOptions};
-use crate::manager::{
-    CommitReport, CommitState, CommitTicket, HeapHandle, HeapManager, ReadSession,
-};
+use crate::manager::{CommitReport, CommitState, CommitTicket, HeapHandle, HeapManager};
 use crate::txn::HeapTxn;
 use crate::{PjhConfig, PjhError};
 
@@ -59,9 +57,8 @@ impl ShardedCommitTicket {
 
     /// Where the fan-out stands right now, without consuming the barrier
     /// or blocking — the sharded counterpart of [`CommitTicket::state`]
-    /// (which PR 6 added only to the single-heap ticket; a serving
-    /// layer's commit leader polls *this* to fan replies out as shards
-    /// turn durable). Aggregation rules:
+    /// (a serving layer's commit leader polls *this* to fan replies out as
+    /// shards turn durable). Aggregation rules:
     ///
     /// * [`CommitState::Durable`] once **every** shard's epoch is durable
     ///   — the same condition under which [`wait`](Self::wait) returns
@@ -88,12 +85,6 @@ impl ShardedCommitTicket {
         } else {
             CommitState::InFlight
         }
-    }
-
-    /// Whether every shard's epoch has reached its image file — shorthand
-    /// for `self.state() == CommitState::Durable`.
-    pub fn is_durable(&self) -> bool {
-        matches!(self.state(), CommitState::Durable)
     }
 
     /// Blocks until every shard's sealed epoch is durable, returning the
@@ -294,35 +285,6 @@ impl ShardedHeap {
             first.get_or_insert(class);
         }
         Ok(first.expect("at least one shard"))
-    }
-
-    /// Fetches a typed root from the shard `key` routes to.
-    ///
-    /// # Errors
-    ///
-    /// [`PjhError::SchemaMismatch`] when the root holds a different class.
-    pub fn root<T: PObject>(&self, key: &str) -> crate::Result<Option<PRef<T>>> {
-        self.handle_for(key).with(|h| h.root::<T>(key))
-    }
-
-    /// Publishes a typed reference under `key` in the shard `key` routes
-    /// to. The object must live in that same shard — allocate it inside
-    /// `txn(key, ...)` (or through [`handle_for`](Self::handle_for)) so
-    /// routing and placement agree, exactly as the raw
-    /// [`set_root`](Self::set_root) requires of its [`ShardRef`].
-    ///
-    /// # Errors
-    ///
-    /// Name-table errors from the target shard.
-    pub fn set_root_typed<T: PObject>(&self, key: &str, r: PRef<T>) -> crate::Result<()> {
-        self.handle_for(key).with_mut(|h| h.set_root_typed(key, r))
-    }
-
-    /// Opens a lock-free read session on the shard `key` routes to (see
-    /// `HeapHandle::read`): typed reads, index lookups, and range scans
-    /// ride it without blocking that shard's writers.
-    pub fn read_for(&self, key: &str) -> ReadSession {
-        self.handle_for(key).read()
     }
 
     /// Allocates an instance in the shard `key` routes to.
@@ -725,7 +687,6 @@ mod tests {
         sh.set_flush_paused(true);
         let ticket = sh.commit().unwrap();
         assert_eq!(ticket.state(), CommitState::InFlight);
-        assert!(!ticket.is_durable());
         assert_eq!(ticket.state(), CommitState::InFlight);
         assert!(sh.pending_commits() >= 1, "queued applies are observable");
         // Abort one shard's queued apply: the aggregate turns Failed with
@@ -744,7 +705,6 @@ mod tests {
         sh.handle(0).commit_sync().unwrap();
         sh.handle(1).commit_sync().unwrap();
         assert_eq!(ticket.state(), CommitState::Durable);
-        assert!(ticket.is_durable());
         assert_eq!(sh.pending_commits(), 0);
     }
 
@@ -777,12 +737,12 @@ mod tests {
                     Ok(a)
                 })
                 .unwrap();
-            sh.set_root_typed(&key, acct).unwrap();
+            sh.handle_for(&key).set_root_typed(&key, acct).unwrap();
         }
         sh.commit_sync().unwrap();
         for i in 0..16u64 {
             let key = format!("acct{i}");
-            let session = sh.read_for(&key);
+            let session = sh.handle_for(&key).read();
             let a = session.root::<Acct>(&key).unwrap().expect("typed root");
             assert_eq!(session.get(a, bal), i * 100);
             assert_eq!(
@@ -794,7 +754,11 @@ mod tests {
         drop(sh);
         let sh2 = ShardedHeap::open(&mgr, "ty", LoadOptions::default()).unwrap();
         sh2.register::<Acct>().unwrap();
-        let a = sh2.root::<Acct>("acct3").unwrap().expect("reloaded root");
+        let a = sh2
+            .handle_for("acct3")
+            .root::<Acct>("acct3")
+            .unwrap()
+            .expect("reloaded root");
         assert_eq!(sh2.handle_for("acct3").with(|h| h.get(a, bal)), 300);
     }
 

@@ -318,6 +318,53 @@ impl Pjh {
 /// Dropping a `HeapTxn` whose closure neither returned nor committed —
 /// i.e. unwinding out of the closure on panic — aborts the transaction,
 /// so a panicking transaction can never leak half-applied state.
+///
+/// Reads need no transaction-specific API: `HeapTxn` derefs to `&Pjh`,
+/// so every `&self` reader (`field`, `get`, `root::<T>`, …) works inside
+/// a transaction exactly as outside one.
+///
+/// ```
+/// # use espresso_core::{Pjh, PjhConfig};
+/// # use espresso_nvm::{NvmConfig, NvmDevice};
+/// let mut h = Pjh::create(NvmDevice::new(NvmConfig::with_size(1 << 20)), PjhConfig::small())?;
+/// let pa = h.register_prim_array();
+/// let n = h.txn(|t| {
+///     let arr = t.alloc_array(pa, 3)?;
+///     t.array_set(arr, 1, 42);
+///     Ok(t.array_get(arr, 1) + t.array_len(arr) as u64)
+/// })?;
+/// assert_eq!(n, 45);
+/// # Ok::<(), espresso_core::PjhError>(())
+/// ```
+///
+/// The deref is read-only. `Pjh`'s unlogged mutators take `&mut Pjh`, so
+/// a transaction cannot reach them — an unlogged store would break its
+/// atomicity:
+///
+/// ```compile_fail
+/// # use espresso_core::{Pjh, PjhConfig};
+/// # use espresso_nvm::{NvmConfig, NvmDevice};
+/// let mut h = Pjh::create(NvmDevice::new(NvmConfig::with_size(1 << 20)), PjhConfig::small())?;
+/// let pa = h.register_prim_array();
+/// h.txn(|t| {
+///     let arr = t.alloc_array(pa, 3)?;
+///     t.set_root("arr", arr) // unlogged root store: does not compile
+/// })?;
+/// # Ok::<(), espresso_core::PjhError>(())
+/// ```
+///
+/// ```compile_fail
+/// # use espresso_core::{Pjh, PjhConfig};
+/// # use espresso_nvm::{NvmConfig, NvmDevice};
+/// let mut h = Pjh::create(NvmDevice::new(NvmConfig::with_size(1 << 20)), PjhConfig::small())?;
+/// let pa = h.register_prim_array();
+/// h.txn(|t| {
+///     let arr = t.alloc_array(pa, 3)?;
+///     t.write_word_at(arr.addr(), 0); // unlogged raw store: does not compile
+///     Ok(())
+/// })?;
+/// # Ok::<(), espresso_core::PjhError>(())
+/// ```
 #[derive(Debug)]
 pub struct HeapTxn<'a> {
     heap: &'a mut Pjh,
@@ -337,6 +384,13 @@ impl Drop for HeapTxn<'_> {
     }
 }
 
+impl std::ops::Deref for HeapTxn<'_> {
+    type Target = Pjh;
+    fn deref(&self) -> &Pjh {
+        self.heap
+    }
+}
+
 impl HeapTxn<'_> {
     /// Mutable heap access for the typed layer (see [`crate::typed`]),
     /// which routes every store back through the logged `txn_*` ops.
@@ -349,13 +403,6 @@ impl HeapTxn<'_> {
     /// passthroughs below).
     pub(crate) fn note_fresh(&mut self, r: Ref) {
         self.fresh.insert(r);
-    }
-
-    /// Whether `r` was allocated inside this transaction (and is therefore
-    /// eligible for unlogged [`init_field`](Self::init_field)-family
-    /// stores).
-    pub fn is_fresh(&self, r: Ref) -> bool {
-        self.fresh.contains(&r)
     }
 
     // ---- init stores: unlogged writes to objects allocated in this
@@ -519,11 +566,6 @@ impl HeapTxn<'_> {
         self.heap.register_instance(name, fields)
     }
 
-    /// Resolved-klass lookup passthrough.
-    pub fn lookup_klass(&self, name: &str) -> Option<KlassId> {
-        self.heap.lookup_klass(name)
-    }
-
     /// Primitive-array class registration passthrough.
     pub fn register_prim_array(&mut self) -> KlassId {
         self.heap.register_prim_array()
@@ -532,38 +574,6 @@ impl HeapTxn<'_> {
     /// Object-array class registration passthrough.
     pub fn register_obj_array(&mut self, elem_name: &str) -> KlassId {
         self.heap.register_obj_array(elem_name)
-    }
-
-    // ---- reads (never logged) ----
-
-    /// Reads raw field `index`.
-    pub fn field(&self, r: Ref, index: usize) -> u64 {
-        self.heap.field(r, index)
-    }
-
-    /// Reads reference field `index`.
-    pub fn field_ref(&self, r: Ref, index: usize) -> Ref {
-        self.heap.field_ref(r, index)
-    }
-
-    /// Reads array element `i`.
-    pub fn array_get(&self, r: Ref, i: usize) -> u64 {
-        self.heap.array_get(r, i)
-    }
-
-    /// Reads array element `i` as a reference.
-    pub fn array_get_ref(&self, r: Ref, i: usize) -> Ref {
-        self.heap.array_get_ref(r, i)
-    }
-
-    /// Length of an array object.
-    pub fn array_len(&self, r: Ref) -> usize {
-        self.heap.array_len(r)
-    }
-
-    /// Fetches a root.
-    pub fn get_root(&self, name: &str) -> Option<Ref> {
-        self.heap.get_root(name)
     }
 
     /// Read-only access to the underlying heap for operations with no

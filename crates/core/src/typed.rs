@@ -530,47 +530,6 @@ impl HeapTxn<'_> {
     pub fn arr_set(&mut self, arr: PArr, i: usize, value: u64) {
         self.array_set(arr.raw(), i, value);
     }
-
-    // ---- typed reads inside the transaction ----
-
-    /// Reads a primitive field.
-    pub fn get<T, V: PValue>(&self, obj: PRef<T>, f: Fld<T, V>) -> V {
-        self.heap().get(obj, f)
-    }
-
-    /// Reads a reference field; `None` for null.
-    pub fn get_ref<T, U>(&self, obj: PRef<T>, f: RefFld<T, U>) -> Option<PRef<U>> {
-        self.heap().get_ref(obj, f)
-    }
-
-    /// Reads a string field; `None` for null.
-    pub fn get_str<T>(&self, obj: PRef<T>, f: StrFld<T>) -> Option<String> {
-        self.heap().get_str(obj, f)
-    }
-
-    /// Reads a primitive-array field; `None` for null.
-    pub fn get_arr<T>(&self, obj: PRef<T>, f: ArrFld<T>) -> Option<PArr> {
-        self.heap().get_arr(obj, f)
-    }
-
-    /// Reads element `i` of a typed array.
-    pub fn arr_get(&self, arr: PArr, i: usize) -> u64 {
-        self.heap().arr_get(arr, i)
-    }
-
-    /// Length of a typed array.
-    pub fn arr_len(&self, arr: PArr) -> usize {
-        self.heap().arr_len(arr)
-    }
-
-    /// Fetches a typed root.
-    ///
-    /// # Errors
-    ///
-    /// [`PjhError::SchemaMismatch`] when the root holds a different class.
-    pub fn root<T: PObject>(&self, name: &str) -> crate::Result<Option<PRef<T>>> {
-        self.heap().root(name)
-    }
 }
 
 impl HeapHandle {

@@ -188,19 +188,6 @@ impl<T: PObject + 'static> IndexedHeap<T> {
         })
     }
 
-    /// Writes an `i64` field and refreshes every index over it, in one
-    /// transaction.
-    ///
-    /// # Errors
-    ///
-    /// Index-maintenance allocation errors.
-    pub fn put_i64(&self, obj: PRef<T>, f: Fld<T, i64>, v: i64) -> espresso_core::Result<()> {
-        self.put_keyed(obj, f.index(), &Key::I64(v), |t| {
-            t.set(obj, f, v);
-            Ok(())
-        })
-    }
-
     /// Writes a `str` field and refreshes every index over it, in one
     /// transaction.
     ///

@@ -418,13 +418,6 @@ impl Database {
         self.inner.lock().stats = DbStats::default();
     }
 
-    /// Names of all tables, sorted.
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.lock().tables.keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Row count of a table.
     ///
     /// # Errors

@@ -71,14 +71,6 @@ impl NvmConfig {
             latency: LatencyModel::zero(),
         }
     }
-
-    /// Config of the given size with the NVM latency model.
-    pub fn with_size_and_nvm_latency(size: usize) -> Self {
-        NvmConfig {
-            size,
-            latency: LatencyModel::nvm(),
-        }
-    }
 }
 
 /// What [`NvmDevice::sync_image`] wrote to the image file.

@@ -304,11 +304,6 @@ impl PClassBuilder {
         self.push(name, FieldType::Array)
     }
 
-    /// Declares an object-array field whose elements are instances of `T`.
-    pub fn ref_array_field<T: PObject>(self, name: &str) -> PClassBuilder {
-        self.ref_array_named(name, T::CLASS_NAME)
-    }
-
     /// Declares an object-array field with a by-name element class.
     pub fn ref_array_named(self, name: &str, target: &str) -> PClassBuilder {
         self.push(

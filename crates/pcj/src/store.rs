@@ -208,11 +208,6 @@ impl PcjStore {
         self.timers
     }
 
-    /// Resets the phase timers.
-    pub fn reset_timers(&mut self) {
-        self.timers = PhaseBreakdown::default();
-    }
-
     fn timed<T>(&mut self, phase: Phase, f: impl FnOnce(&mut PcjStore) -> T) -> T {
         let t0 = Instant::now();
         let out = f(self);

@@ -168,11 +168,6 @@ impl PjoEntityManager {
         self.pjh.read()
     }
 
-    /// The shared handle to the heap holding the deduplicated copies.
-    pub fn pjh_handle(&self) -> &HeapHandle {
-        &self.pjh
-    }
-
     /// The backend connection.
     pub fn connection(&mut self) -> &mut Connection {
         &mut self.conn

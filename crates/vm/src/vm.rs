@@ -147,29 +147,14 @@ impl Vm {
         self.pjh.replace(pjh)
     }
 
-    /// Detaches and returns the persistent heap.
-    pub fn take_pjh(&mut self) -> Option<Pjh> {
-        self.pjh.take()
-    }
-
     /// The attached persistent heap, if any.
     pub fn pjh(&self) -> Option<&Pjh> {
         self.pjh.as_ref()
     }
 
-    /// Mutable access to the attached persistent heap.
-    pub fn pjh_mut(&mut self) -> Option<&mut Pjh> {
-        self.pjh.as_mut()
-    }
-
     /// The volatile heap.
     pub fn volatile(&self) -> &VolatileHeap {
         &self.volatile
-    }
-
-    /// Mutable access to the volatile heap.
-    pub fn volatile_mut(&mut self) -> &mut VolatileHeap {
-        &mut self.volatile
     }
 
     // ---- classes ----
@@ -541,11 +526,6 @@ impl Vm {
     /// Current value of a handle.
     pub fn handle(&self, h: Handle) -> Option<Ref> {
         self.volatile.root(h)
-    }
-
-    /// Releases a handle.
-    pub fn remove_handle(&mut self, h: Handle) {
-        self.volatile.remove_root(h)
     }
 
     // ---- persistence (§3.5) ----

@@ -291,7 +291,12 @@ fn concurrent_read_sessions_race_a_writer() {
             ceiling.store(i, Ordering::SeqCst);
             handle
                 .txn(|t| {
+                    // Reads inside a transaction go through its deref to
+                    // `Pjh` and see the transaction's own stores.
+                    let o = t.root::<Link>("obj")?.expect("published root");
+                    assert_eq!(t.get(o, a), i - 1);
                     t.set(obj, a, i);
+                    assert_eq!(t.get(obj, a), i);
                     t.set(obj, b, i.wrapping_mul(7));
                     Ok(())
                 })
